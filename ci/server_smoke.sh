@@ -3,9 +3,10 @@
 # the end-to-end equivalence check (streamed snapshots + live top-k must
 # match an offline ShardedEngine run over the pinned workload), hit it with
 # a concurrent loadgen, scrape the Prometheus metrics query, fetch the
-# request-trace stream, and shut it down gracefully. Fails on any protocol
-# error, any mismatch, a missing or zero core metric, a traceless or
-# stage-incomplete trace stream, or an unclean shutdown.
+# request-trace stream, open 64 idle sessions, and shut it down gracefully.
+# Fails on any protocol error, any mismatch, a missing or zero core metric,
+# a traceless or stage-incomplete trace stream, a thread count that grows
+# with idle sessions, or an unclean shutdown.
 #
 # MODE=threaded (default) runs the thread-per-connection front end;
 # MODE=event-loop runs the same checks against the readiness-based reactor
@@ -114,6 +115,34 @@ if [ "$MODE" = "event-loop" ]; then
       exit 1
     }
   done
+fi
+
+echo "==> idle sessions: the thread count must not grow with sessions"
+scrape() {
+  target/release/mhp-client query --addr "$addr" --op metrics |
+    awk -v n="$1" '$1 == n { print $2 }'
+}
+threads_before="$(scrape process_threads)"
+if [ -z "$threads_before" ]; then
+  echo "server_smoke: process_threads missing from exposition" >&2
+  exit 1
+fi
+for i in $(seq 64); do
+  target/release/mhp-client record-and-send --addr "$addr" \
+    --session "idle/$i" --events 4096 >/dev/null
+done
+threads_after="$(scrape process_threads)"
+workers="$(scrape engine_worker_threads)"
+echo "    process_threads $threads_before -> $threads_after, engine_worker_threads $workers"
+# Slack of 2 covers connection threads of the threaded front end that are
+# still exiting when the scrape lands.
+if [ "$threads_after" -gt $((threads_before + 2)) ]; then
+  echo "server_smoke: 64 idle sessions grew the server by $((threads_after - threads_before)) threads" >&2
+  exit 1
+fi
+if [ "$workers" != "0" ]; then
+  echo "server_smoke: engine_worker_threads is $workers with only one-shard sessions open" >&2
+  exit 1
 fi
 
 echo "==> graceful shutdown"

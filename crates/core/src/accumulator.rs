@@ -268,6 +268,13 @@ impl AccumulatorTable {
         self.capacity * 10
     }
 
+    /// Heap bytes the table's map occupies in this process: one tuple, one
+    /// entry and one control byte per slot it has room for.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity()
+            * (std::mem::size_of::<Tuple>() + std::mem::size_of::<EntryState>() + 1)
+    }
+
     /// Rebuilds the table's exact residency state from a snapshot — counts
     /// *and* replaceable flags, bypassing the promotion-time invariants of
     /// [`insert_tracked`](Self::insert_tracked) (a retained entry is

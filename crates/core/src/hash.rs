@@ -44,6 +44,19 @@
 //! computes *all* indices with the same 16 loads — the gather-friendly
 //! shape the hardware proposal implies. Both paths are bit-identical to the
 //! reference formulation (asserted by tests).
+//!
+//! ## Shared tables
+//!
+//! A family's tables are a pure function of `(num_tables, table_size,
+//! seed)` — the hardware analogue is one set of hardwired S-boxes, not
+//! per-stream state. [`HashFamily::new`] therefore hands every family with
+//! the same parameters one shared, immutable copy (about 100 KB for the
+//! paper's 4 × 512 configuration), looked up in a process-wide memo of
+//! weak references: the tables are freed when the last family using them
+//! drops.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::tuple::Tuple;
 
@@ -102,7 +115,7 @@ impl ByteTable {
 
     /// Substitutes every byte of `v` through the table ("randomize" in the
     /// paper).
-    #[inline]
+    #[cfg(test)]
     fn randomize(&self, v: u64) -> u64 {
         let bytes = v.to_le_bytes();
         let mut out = [0u8; 8];
@@ -174,7 +187,11 @@ pub fn xor_fold(v: u64, bits: u32) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TupleHasher {
+    /// The substitution tables themselves, kept only for the reference
+    /// formulation the tests check the fold tables against.
+    #[cfg(test)]
     pc_table: ByteTable,
+    #[cfg(test)]
     value_table: ByteTable,
     /// `pc_fold[i][b]` = `xor_fold(flip(S_pc[b] placed at byte i), bits)`:
     /// the finished index contribution of PC byte value `b` at position `i`.
@@ -231,13 +248,20 @@ impl TupleHasher {
         let pc_fold = fold_table(&pc_table, index_bits, true);
         let value_fold = fold_table(&value_table, index_bits, false);
         Ok(TupleHasher {
+            #[cfg(test)]
             pc_table,
+            #[cfg(test)]
             value_table,
             pc_fold,
             value_fold,
             index_bits,
             table_size,
         })
+    }
+
+    /// Heap bytes of this hasher's fold-contribution tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        2 * std::mem::size_of::<FoldTable>()
     }
 
     /// Number of counters this hasher indexes.
@@ -255,7 +279,7 @@ impl TupleHasher {
     /// Computes the counter-table index for `tuple`.
     ///
     /// Uses the precomputed fold-contribution tables: 16 loads XOR-ed
-    /// together, bit-identical to [`index_reference`](Self::index_reference).
+    /// together, bit-identical to the paper's literal formulation.
     #[inline]
     pub fn index(&self, tuple: Tuple) -> usize {
         let pc = tuple.pc().as_u64().to_le_bytes();
@@ -271,7 +295,8 @@ impl TupleHasher {
     /// The paper's formulation computed literally —
     /// `xor_fold(flip(randomize(pc)) ^ randomize(value))` — kept as the
     /// correctness reference for the fold-table fast path.
-    pub fn index_reference(&self, tuple: Tuple) -> usize {
+    #[cfg(test)]
+    fn index_reference(&self, tuple: Tuple) -> usize {
         let npc = flip(self.pc_table.randomize(tuple.pc().as_u64()));
         let nv = self.value_table.randomize(tuple.value().as_u64());
         xor_fold(npc ^ nv, self.index_bits) as usize
@@ -294,13 +319,34 @@ impl TupleHasher {
 /// assert_eq!(indices.len(), 4);
 /// assert!(indices.iter().all(|&i| i < 512));
 /// ```
+///
+/// Families built with the same parameters share one copy of their tables
+/// (see the module docs), so cloning or building another is cheap.
 #[derive(Debug, Clone)]
 pub struct HashFamily {
+    tables: Arc<FamilyTables>,
+}
+
+/// The immutable tables of one family, shared by every [`HashFamily`]
+/// built with the same parameters.
+#[derive(Debug)]
+struct FamilyTables {
     hashers: Vec<TupleHasher>,
     /// Lane-packed fold tables covering *every* hasher at once, present
     /// when the family fits the packing limits (≤ 4 tables of ≤ 16 index
     /// bits — which includes every configuration the paper evaluates).
     packed: Option<PackedFold>,
+}
+
+/// `(num_tables, table_size, seed)`: everything a family's tables depend on.
+type FamilyKey = (usize, usize, u64);
+
+/// The process-wide memo of live family tables. Entries are weak, so the
+/// memo never keeps tables alive on its own; dead entries are pruned
+/// whenever a new family is built.
+fn family_memo() -> &'static Mutex<HashMap<FamilyKey, Weak<FamilyTables>>> {
+    static MEMO: OnceLock<Mutex<HashMap<FamilyKey, Weak<FamilyTables>>>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// All hashers' fold contributions packed into 16-bit lanes of one `u64`
@@ -373,36 +419,48 @@ impl HashFamily {
         if num_tables == 0 {
             return Err(crate::ConfigError::ZeroTables);
         }
+        let key = (num_tables, table_size, seed);
+        // Tables are immutable once built, so a panic elsewhere while the
+        // lock was held cannot have left the memo's contents invalid.
+        let mut memo = family_memo()
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(tables) = memo.get(&key).and_then(Weak::upgrade) {
+            return Ok(HashFamily { tables });
+        }
         let hashers = (0..num_tables)
             .map(|i| TupleHasher::new(table_size, seed.wrapping_add(0x9E37 * (i as u64 + 1))))
             .collect::<Result<Vec<_>, _>>()?;
         let packed = PackedFold::build(&hashers);
-        Ok(HashFamily { hashers, packed })
+        let tables = Arc::new(FamilyTables { hashers, packed });
+        memo.retain(|_, weak| weak.strong_count() > 0);
+        memo.insert(key, Arc::downgrade(&tables));
+        Ok(HashFamily { tables })
     }
 
     /// Number of hash functions in the family.
     #[inline]
     pub fn len(&self) -> usize {
-        self.hashers.len()
+        self.tables.hashers.len()
     }
 
     /// Returns `true` if the family contains no hashers (never true for a
     /// successfully constructed family).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.hashers.is_empty()
+        self.tables.hashers.is_empty()
     }
 
     /// The hashers in table order.
     #[inline]
     pub fn hashers(&self) -> &[TupleHasher] {
-        &self.hashers
+        &self.tables.hashers
     }
 
     /// Computes `tuple`'s index in every table, in table order.
     #[inline]
     pub fn indices(&self, tuple: Tuple) -> impl Iterator<Item = usize> + '_ {
-        self.hashers.iter().map(move |h| h.index(tuple))
+        self.tables.hashers.iter().map(move |h| h.index(tuple))
     }
 
     /// Writes `tuple`'s index in every table into `out`, in table order —
@@ -419,21 +477,28 @@ impl HashFamily {
     /// Panics if `out.len() != self.len()`.
     #[inline]
     pub fn indices_into(&self, tuple: Tuple, out: &mut [usize]) {
+        let tables = &*self.tables;
         assert_eq!(
             out.len(),
-            self.hashers.len(),
+            tables.hashers.len(),
             "scratch buffer must hold one index per table"
         );
-        if let Some(packed) = &self.packed {
+        if let Some(packed) = &tables.packed {
             let lanes = packed.lanes(tuple);
             for (h, slot) in out.iter_mut().enumerate() {
                 *slot = ((lanes >> (PACKED_LANE_BITS * h as u32)) & u64::from(u16::MAX)) as usize;
             }
         } else {
-            for (slot, hasher) in out.iter_mut().zip(&self.hashers) {
+            for (slot, hasher) in out.iter_mut().zip(&tables.hashers) {
                 *slot = hasher.index(tuple);
             }
         }
+    }
+
+    /// The shared tables, for tests that check who shares them.
+    #[cfg(test)]
+    fn shared_tables(&self) -> &Arc<FamilyTables> {
+        &self.tables
     }
 }
 
@@ -633,6 +698,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn equal_parameters_share_one_copy_of_the_tables() {
+        // A seed no other test uses, so no other live family can hold
+        // these tables and the weak-release check below is exact.
+        let seed = 0x5EED_7AB1E5;
+        let a = HashFamily::new(4, 512, seed).unwrap();
+        let b = HashFamily::new(4, 512, seed).unwrap();
+        assert!(Arc::ptr_eq(a.shared_tables(), b.shared_tables()));
+        for other in [
+            HashFamily::new(4, 512, seed + 1).unwrap(),
+            HashFamily::new(2, 512, seed).unwrap(),
+            HashFamily::new(4, 256, seed).unwrap(),
+        ] {
+            assert!(!Arc::ptr_eq(a.shared_tables(), other.shared_tables()));
+        }
+        // Sharing changes no index: both match the paper's formulation.
+        let mut scratch = [0usize; 4];
+        for &t in &probe_tuples() {
+            b.indices_into(t, &mut scratch);
+            let expected: Vec<usize> = a.hashers().iter().map(|h| h.index_reference(t)).collect();
+            assert_eq!(scratch.as_slice(), expected.as_slice());
+        }
+        // The memo holds the tables weakly: they go with the last family.
+        let weak = Arc::downgrade(a.shared_tables());
+        drop((a, b));
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]

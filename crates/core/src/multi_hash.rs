@@ -553,6 +553,13 @@ impl EventProfiler for MultiHashProfiler {
         self.tally.reset();
     }
 
+    fn private_bytes(&self) -> usize {
+        self.block.len() * std::mem::size_of::<u32>()
+            + self.accumulator.heap_bytes()
+            + std::mem::size_of_val(self.scratch.as_slice())
+            + std::mem::size_of_val(self.vals.as_slice())
+    }
+
     fn events_in_current_interval(&self) -> u64 {
         self.events
     }

@@ -179,6 +179,10 @@ impl EventProfiler for PerfectProfiler {
         self.interval_idx = 0;
     }
 
+    fn private_bytes(&self) -> usize {
+        self.counts.capacity() * (std::mem::size_of::<Tuple>() + std::mem::size_of::<u64>() + 1)
+    }
+
     fn events_in_current_interval(&self) -> u64 {
         self.events
     }

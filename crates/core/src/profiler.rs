@@ -90,6 +90,16 @@ pub trait EventProfiler {
         Vec::new()
     }
 
+    /// Heap bytes this profiler owns on its own: counters, accumulator and
+    /// any exact-count map. Tables shared with other profilers (the hash
+    /// family's fold tables, see [`HashFamily`](crate::HashFamily)) are not
+    /// counted. An accounting figure for memory budgets, not an allocator
+    /// measurement; the default reports 0 for profilers that keep no
+    /// significant state.
+    fn private_bytes(&self) -> usize {
+        0
+    }
+
     /// Number of events observed within the *current*, incomplete interval.
     fn events_in_current_interval(&self) -> u64;
 

@@ -385,6 +385,13 @@ impl EventProfiler for SingleHashProfiler {
         self.tally.reset();
     }
 
+    fn private_bytes(&self) -> usize {
+        // The single hasher's tables are this profiler's own.
+        self.hasher.heap_bytes()
+            + self.counters.len() * std::mem::size_of::<u32>()
+            + self.accumulator.heap_bytes()
+    }
+
     fn events_in_current_interval(&self) -> u64 {
         self.events
     }

@@ -40,9 +40,23 @@
 //!
 //! Batches never cross an interval boundary, so workers need no boundary
 //! logic at all: observe the batch, cut on [`Msg::Cut`].
+//!
+//! ## Inline sessions
+//!
+//! A one-shard session has nothing to partition and nothing to run in
+//! parallel, so [`ShardedEngine::start`] and [`ShardedEngine::restore`]
+//! give it no worker at all: the session owns its profiler and calls it on
+//! the caller's thread — a full batch is observed in place, a cut is
+//! `finish_interval` plus the same [`IntervalProfile::merge`] a worker
+//! session applies. No thread, ring or channel exists, so an idle session
+//! costs only its sketch state. Profiler calls run under `catch_unwind`: a
+//! panic poisons the session exactly as a dead worker would
+//! ([`Error::WorkerDied`] on every later call, [`Error::WorkerPanicked`]
+//! from `finish`) and never unwinds into the caller.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -254,6 +268,11 @@ impl EngineReport {
 /// order), which is what makes partitioning tuple-stable.
 pub fn shard_of(tuple: Tuple, shards: usize) -> usize {
     debug_assert!(shards > 0);
+    // One shard needs no hash, and `x % 1` is a full 64-bit division on
+    // every event of an inline session's ingest path.
+    if shards == 1 {
+        return 0;
+    }
     // splitmix64 finalizer over a pc/value mix: cheap and well distributed.
     let mut x = tuple.pc().as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ tuple.value().as_u64().rotate_left(32);
@@ -417,10 +436,14 @@ impl ShardedEngine {
         session.finish()
     }
 
-    /// Spawns the shard workers and returns a long-lived [`EngineSession`]
-    /// accepting incremental pushes and mid-stream queries — the streaming
-    /// counterpart of [`run`](Self::run) for callers (like a profiling
-    /// service) whose event stream arrives over time.
+    /// Builds the shard profilers and returns a long-lived
+    /// [`EngineSession`] accepting incremental pushes and mid-stream
+    /// queries — the streaming counterpart of [`run`](Self::run) for callers
+    /// (like a profiling service) whose event stream arrives over time.
+    ///
+    /// A one-shard session runs its profiler inline on the caller's thread
+    /// (see the module docs); with two or more shards one worker thread per
+    /// shard is spawned.
     ///
     /// # Errors
     ///
@@ -457,13 +480,7 @@ impl ShardedEngine {
     pub fn start(&self) -> Result<EngineSession, Error> {
         self.config.validate()?;
         let profilers = self.build_shard_profilers()?;
-        Ok(EngineSession::spawn(
-            &self.config,
-            self.interval.interval_len(),
-            profilers,
-            self.telemetry.clone(),
-            self.faults.clone(),
-        ))
+        Ok(self.open_session(self.interval.interval_len(), profilers))
     }
 
     /// Rebuilds a live [`EngineSession`] from a snapshot taken by
@@ -473,8 +490,8 @@ impl ShardedEngine {
     /// continuing the same event stream produces identical profiles,
     /// [`top_k`](EngineSession::top_k) answers and re-snapshots. The
     /// engine's spec, seed, shard count and interval must match the saving
-    /// engine's; anything else is refused with a typed error before any
-    /// worker thread is spawned.
+    /// engine's; anything else is refused with a typed error before the
+    /// session (or any worker thread) is built.
     ///
     /// # Errors
     ///
@@ -482,6 +499,18 @@ impl ShardedEngine {
     /// configuration-mismatched snapshot; [`Error::InvalidEngine`] /
     /// [`Error::Config`] exactly as [`start`](Self::start).
     pub fn restore(&self, snapshot: &[u8]) -> Result<EngineSession, Error> {
+        self.restore_with(snapshot, |interval_len, profilers| {
+            self.open_session(interval_len, profilers)
+        })
+    }
+
+    /// [`restore`](Self::restore), with `open` wrapping the restored shard
+    /// profilers in a session (tests use it to restore into workers).
+    fn restore_with(
+        &self,
+        snapshot: &[u8],
+        open: impl FnOnce(u64, Vec<Box<dyn EventProfiler + Send>>) -> EngineSession,
+    ) -> Result<EngineSession, Error> {
         self.config.validate()?;
         let mut r = SnapshotReader::open(snapshot, KIND_ENGINE_SESSION)?;
         let shards = r.take_u64("shard count")?;
@@ -513,8 +542,8 @@ impl ShardedEngine {
         for _ in 0..profile_count {
             completed.push(take_profile(&mut r)?);
         }
-        // Restore each shard's profiler *before* spawning any worker
-        // thread, so a bad snapshot fails with nothing to clean up.
+        // Restore each shard's profiler *before* building the session, so
+        // a bad snapshot fails with no worker thread to clean up.
         let mut profilers = self.build_shard_profilers()?;
         for profiler in &mut profilers {
             let blob = r.take_bytes("shard profiler snapshot")?;
@@ -522,18 +551,29 @@ impl ShardedEngine {
         }
         r.expect_end()?;
 
-        let mut session = EngineSession::spawn(
-            &self.config,
-            interval_len,
-            profilers,
-            self.telemetry.clone(),
-            self.faults.clone(),
-        );
+        let mut session = open(interval_len, profilers);
         session.events = events;
         session.in_interval = in_interval;
         session.stats = stats;
         session.completed = completed;
         Ok(session)
+    }
+
+    /// Wraps built shard profilers in a session: inline for one shard,
+    /// worker threads for more.
+    fn open_session(
+        &self,
+        interval_len: u64,
+        mut profilers: Vec<Box<dyn EventProfiler + Send>>,
+    ) -> EngineSession {
+        let telemetry = self.telemetry.clone();
+        let faults = self.faults.clone();
+        if profilers.len() == 1 {
+            let profiler = profilers.pop().expect("exactly one shard profiler");
+            EngineSession::inline(&self.config, interval_len, profiler, telemetry, faults)
+        } else {
+            EngineSession::spawn(&self.config, interval_len, profilers, telemetry, faults)
+        }
     }
 
     fn build_shard_profilers(&self) -> Result<Vec<Box<dyn EventProfiler + Send>>, Error> {
@@ -562,9 +602,11 @@ fn take_profile(r: &mut SnapshotReader<'_>) -> Result<IntervalProfile, Error> {
     Ok(mhp_core::take_profile(r)?)
 }
 
-/// A live run of a [`ShardedEngine`]: shard workers stay up between calls,
-/// events are [`push`](Self::push)ed incrementally, and the stream can be
-/// queried while it is still flowing.
+/// A live run of a [`ShardedEngine`]: shard profilers keep their state
+/// between calls, events are [`push`](Self::push)ed incrementally, and the
+/// stream can be queried while it is still flowing. A one-shard session
+/// calls its profiler inline; a multi-shard one keeps its shard workers up
+/// between calls.
 ///
 /// Semantics are identical to [`ShardedEngine::run`] fed the concatenation
 /// of every push — that method is literally implemented on top of this type.
@@ -581,6 +623,10 @@ fn take_profile(r: &mut SnapshotReader<'_>) -> Result<IntervalProfile, Error> {
 /// workers down and discards their output.
 #[derive(Debug)]
 pub struct EngineSession {
+    /// The one shard's profiler, called on the caller's thread; `None` when
+    /// shard workers own the profilers (every worker field below is then
+    /// populated, and empty otherwise).
+    inline: Option<InlineShard>,
     senders: Vec<ring::Sender<Msg>>,
     /// Per-shard return path for emptied batch buffers: workers push their
     /// cleared `Vec<Tuple>`s back here, and the dispatcher reuses them
@@ -608,50 +654,81 @@ pub struct EngineSession {
     /// Time spent handing batches to shard rings (including blocking
     /// stalls) since the last [`take_handoff_time`](Self::take_handoff_time).
     handoff: Duration,
+    /// The private memory of the profilers handed to shard workers, as
+    /// spawned; an inline profiler is measured live instead. The per-shard
+    /// part of [`approx_memory_bytes`](Self::approx_memory_bytes).
+    worker_profiler_bytes: u64,
+}
+
+/// The profiler of an inline (one-shard) session.
+struct InlineShard {
+    /// `Err` holds the message of the panic that poisoned the session; the
+    /// profiler that panicked is dropped with it.
+    profiler: Result<Box<dyn EventProfiler + Send>, String>,
+    faults: Option<FaultHook>,
+}
+
+impl fmt::Debug for InlineShard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InlineShard")
+            .field("poisoned", &self.profiler.as_ref().err())
+            .field("faults", &self.faults.is_some())
+            .finish()
+    }
+}
+
+impl InlineShard {
+    fn call<T>(&mut self, f: impl FnOnce(&mut dyn EventProfiler) -> T) -> Result<T, Error> {
+        guarded(&mut self.profiler, f)
+    }
+
+    /// Observes one batch, consulting the fault hook first exactly as a
+    /// shard worker does.
+    fn observe_batch(&mut self, batch: &[Tuple]) -> Result<(), Error> {
+        let faults = self.faults.as_ref();
+        guarded(&mut self.profiler, |profiler| {
+            inject_worker_faults(faults, batch.len() as u64);
+            let emitted = profiler.observe_batch(batch);
+            debug_assert!(emitted.is_empty());
+        })
+    }
+}
+
+/// Runs `f` against an inline profiler under `catch_unwind`. A panic
+/// poisons the profiler: this and every later call fail with
+/// [`Error::WorkerDied`], the same error a dead worker produces.
+fn guarded<T>(
+    profiler: &mut Result<Box<dyn EventProfiler + Send>, String>,
+    f: impl FnOnce(&mut dyn EventProfiler) -> T,
+) -> Result<T, Error> {
+    let live = profiler
+        .as_mut()
+        .map_err(|_| Error::WorkerDied { shard: 0 })?;
+    match panic::catch_unwind(AssertUnwindSafe(|| f(live.as_mut()))) {
+        Ok(value) => Ok(value),
+        Err(payload) => {
+            *profiler = Err(panic_message(payload.as_ref()));
+            Err(Error::WorkerDied { shard: 0 })
+        }
+    }
 }
 
 impl EngineSession {
-    /// Spawns one worker thread per pre-built shard profiler.
-    /// [`ShardedEngine::start`] builds the profilers from its spec; tests
-    /// inject custom (e.g. panicking) profilers directly.
-    fn spawn(
+    /// A session with `shards` shards and no profiler attached yet: the
+    /// state both constructors share.
+    fn empty(
         config: &EngineConfig,
         interval_len: u64,
-        profilers: Vec<Box<dyn EventProfiler + Send>>,
+        shards: usize,
         telemetry: Option<EngineTelemetry>,
-        faults: Option<FaultHook>,
     ) -> Self {
-        let shards = profilers.len();
-        let queue_gauges = telemetry
-            .as_ref()
-            .map(|t| t.queue_depth_gauges(shards))
-            .unwrap_or_default();
-        let mut senders = Vec::with_capacity(shards);
-        let mut recycle_rxs = Vec::with_capacity(shards);
-        let mut profile_rxs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, profiler) in profilers.into_iter().enumerate() {
-            let (tx, rx) = ring::ring(config.queue_capacity());
-            // Sized so the worker can always return a buffer: at most
-            // queue_capacity are queued, one is in the worker's hands and
-            // one is being filled by the dispatcher.
-            let (recycle_tx, recycle_rx) = ring::ring(config.queue_capacity() + 2);
-            let (profile_tx, profile_rx) = std::sync::mpsc::channel();
-            let depth = queue_gauges.get(shard).cloned();
-            let hook = faults.clone();
-            senders.push(tx);
-            recycle_rxs.push(recycle_rx);
-            profile_rxs.push(profile_rx);
-            handles.push(thread::spawn(move || {
-                shard_worker(profiler, rx, recycle_tx, profile_tx, depth, hook)
-            }));
-        }
         let batch_cap = config.batch_events();
         EngineSession {
-            senders,
-            recycle_rxs,
-            profile_rxs,
-            handles,
+            inline: None,
+            senders: Vec::new(),
+            recycle_rxs: Vec::new(),
+            profile_rxs: Vec::new(),
+            handles: Vec::new(),
             batches: (0..shards).map(|_| Vec::with_capacity(batch_cap)).collect(),
             stats: vec![ShardStats::default(); shards],
             completed: Vec::new(),
@@ -662,10 +739,72 @@ impl EngineSession {
             batch_cap,
             started: Instant::now(),
             telemetry,
-            queue_gauges,
+            queue_gauges: Vec::new(),
             cut_starts: VecDeque::new(),
             handoff: Duration::ZERO,
+            worker_profiler_bytes: 0,
         }
+    }
+
+    /// A one-shard session that calls `profiler` on the caller's thread.
+    fn inline(
+        config: &EngineConfig,
+        interval_len: u64,
+        profiler: Box<dyn EventProfiler + Send>,
+        telemetry: Option<EngineTelemetry>,
+        faults: Option<FaultHook>,
+    ) -> Self {
+        let mut session = EngineSession::empty(config, interval_len, 1, telemetry);
+        session.inline = Some(InlineShard {
+            profiler: Ok(profiler),
+            faults,
+        });
+        session
+    }
+
+    /// Spawns one worker thread per pre-built shard profiler.
+    /// [`ShardedEngine::start`] builds the profilers from its spec and uses
+    /// this for two or more shards; tests inject custom (e.g. panicking)
+    /// profilers directly, with any shard count.
+    fn spawn(
+        config: &EngineConfig,
+        interval_len: u64,
+        profilers: Vec<Box<dyn EventProfiler + Send>>,
+        telemetry: Option<EngineTelemetry>,
+        faults: Option<FaultHook>,
+    ) -> Self {
+        let shards = profilers.len();
+        let threads = telemetry.as_ref().map(|t| t.worker_threads.clone());
+        let mut session = EngineSession::empty(config, interval_len, shards, telemetry);
+        session.worker_profiler_bytes = profilers.iter().map(|p| p.private_bytes() as u64).sum();
+        session.queue_gauges = session
+            .telemetry
+            .as_ref()
+            .map(|t| t.queue_depth_gauges(shards))
+            .unwrap_or_default();
+        for (shard, profiler) in profilers.into_iter().enumerate() {
+            let (tx, rx) = ring::ring(config.queue_capacity());
+            // Sized so the worker can always return a buffer: at most
+            // queue_capacity are queued, one is in the worker's hands and
+            // one is being filled by the dispatcher.
+            let (recycle_tx, recycle_rx) = ring::ring(config.queue_capacity() + 2);
+            let (profile_tx, profile_rx) = std::sync::mpsc::channel();
+            let exit = WorkerExit {
+                depth: session.queue_gauges.get(shard).cloned(),
+                threads: threads.clone(),
+            };
+            if let Some(threads) = &threads {
+                threads.incr();
+            }
+            let hook = faults.clone();
+            session.senders.push(tx);
+            session.recycle_rxs.push(recycle_rx);
+            session.profile_rxs.push(profile_rx);
+            session.handles.push(thread::spawn(move || {
+                shard_worker(profiler, rx, recycle_tx, profile_tx, exit, hook)
+            }));
+        }
+        session
     }
 
     /// Ingests one event, cutting the global interval when it fills.
@@ -677,7 +816,7 @@ impl EngineSession {
     /// [`finish`](Self::finish)); [`Error::Merge`] if an interval cut this
     /// push triggered failed to merge.
     pub fn push(&mut self, tuple: Tuple) -> Result<(), Error> {
-        let shard = shard_of(tuple, self.senders.len());
+        let shard = shard_of(tuple, self.batches.len());
         self.batches[shard].push(tuple);
         self.stats[shard].events += 1;
         self.events += 1;
@@ -714,7 +853,7 @@ impl EngineSession {
     ///
     /// As [`push`](Self::push); the first failure aborts the run.
     pub fn push_slice(&mut self, events: &[Tuple]) -> Result<(), Error> {
-        let shards = self.senders.len();
+        let shards = self.batches.len();
         let mut rest = events;
         while !rest.is_empty() {
             let until_cut =
@@ -736,6 +875,7 @@ impl EngineSession {
             }
             rest = tail;
         }
+        self.release_drained_batch();
         Ok(())
     }
 
@@ -763,7 +903,7 @@ impl EngineSession {
     /// Any [`decode_chunk_into`](crate::decode_chunk_into) decode error,
     /// plus [`push`](Self::push)'s dispatch errors.
     pub fn ingest_chunk(&mut self, chunk: &[u8]) -> Result<usize, Error> {
-        let shards = self.senders.len();
+        let shards = self.batches.len();
         let mut decoder = ChunkDecoder::open(chunk)?;
         while decoder.remaining() > 0 {
             let until_cut =
@@ -791,6 +931,7 @@ impl EngineSession {
             }
         }
         decoder.finish()?;
+        self.release_drained_batch();
         Ok(decoder.consumed())
     }
 
@@ -836,17 +977,22 @@ impl EngineSession {
     /// [`Error::WorkerDied`] if a shard worker died without answering.
     pub fn top_k(&mut self, k: usize) -> Result<Vec<Candidate>, Error> {
         self.flush_batches()?;
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for shard in 0..self.senders.len() {
-            self.dispatch_msg(shard, Msg::TopK(k, reply_tx.clone()))?;
-        }
-        drop(reply_tx);
         let mut pairs: Vec<(Tuple, u64)> = Vec::new();
-        for shard in 0..self.senders.len() {
-            let answer = reply_rx.recv().map_err(|_| Error::WorkerDied { shard })?;
-            // Tuple-stable partitioning: no tuple appears on two shards, so
-            // concatenation (not summation) is the correct combine.
+        if let Some(inline) = &mut self.inline {
+            let answer = inline.call(|profiler| profiler.hot_tuples(k))?;
             pairs.extend(answer.into_iter().map(|c| (c.tuple, c.count)));
+        } else {
+            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+            for shard in 0..self.senders.len() {
+                self.dispatch_msg(shard, Msg::TopK(k, reply_tx.clone()))?;
+            }
+            drop(reply_tx);
+            for shard in 0..self.senders.len() {
+                let answer = reply_rx.recv().map_err(|_| Error::WorkerDied { shard })?;
+                // Tuple-stable partitioning: no tuple appears on two shards,
+                // so concatenation (not summation) is the correct combine.
+                pairs.extend(answer.into_iter().map(|c| (c.tuple, c.count)));
+            }
         }
         Ok(mhp_core::top_k_by_count(pairs, k)
             .into_iter()
@@ -873,20 +1019,26 @@ impl EngineSession {
     pub fn save_state(&mut self) -> Result<Vec<u8>, Error> {
         self.flush_batches()?;
         self.collect_cuts()?;
-        // One reply channel per shard keeps the blobs in shard order no
-        // matter which worker answers first.
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (tx, rx) = std::sync::mpsc::channel();
-            self.dispatch_msg(shard, Msg::SaveState(tx))?;
-            replies.push(rx);
-        }
-        let mut blobs = Vec::with_capacity(replies.len());
-        for (shard, rx) in replies.into_iter().enumerate() {
-            blobs.push(rx.recv().map_err(|_| Error::WorkerDied { shard })??);
-        }
+        let blobs = match &mut self.inline {
+            Some(inline) => vec![inline.call(|profiler| profiler.save_state())??],
+            None => {
+                // One reply channel per shard keeps the blobs in shard
+                // order no matter which worker answers first.
+                let mut replies = Vec::with_capacity(self.senders.len());
+                for shard in 0..self.senders.len() {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    self.dispatch_msg(shard, Msg::SaveState(tx))?;
+                    replies.push(rx);
+                }
+                let mut blobs = Vec::with_capacity(replies.len());
+                for (shard, rx) in replies.into_iter().enumerate() {
+                    blobs.push(rx.recv().map_err(|_| Error::WorkerDied { shard })??);
+                }
+                blobs
+            }
+        };
         let mut w = SnapshotWriter::new(KIND_ENGINE_SESSION);
-        w.put_u64(self.senders.len() as u64);
+        w.put_u64(self.batches.len() as u64);
         w.put_u64(self.interval_len);
         w.put_u64(self.events);
         w.put_u64(self.in_interval);
@@ -928,25 +1080,33 @@ impl EngineSession {
     /// Rough estimate of the session's resident memory, in bytes.
     ///
     /// Counts the retained merged profiles (24 bytes per candidate plus
-    /// per-profile overhead), buffered batches, and a fixed per-shard charge
-    /// for the worker-side sketch and accumulator state. This is an
+    /// per-profile overhead), buffered batches, and each shard profiler's
+    /// private state ([`EventProfiler::private_bytes`]: counters,
+    /// accumulator, exact counts; hash tables shared with other sessions
+    /// are charged nothing). An inline profiler is measured at each call; a
+    /// worker's, which lives on its thread, as it was when spawned. This is an
     /// accounting figure for admission control and LRU eviction (see
     /// `mhp-server`'s session memory budget), not an allocator measurement:
     /// it is cheap, monotone in the real footprint, and stable across calls
     /// when the session is idle. Profiles still buffered inside workers
     /// (pending cuts) are not counted until collected.
     pub fn approx_memory_bytes(&self) -> u64 {
-        const PER_SHARD_BYTES: u64 = 64 * 1024;
         const PER_PROFILE_BYTES: u64 = 128;
         const PER_CANDIDATE_BYTES: u64 = 24;
-        let shards = self.senders.len() as u64;
         let profiles: u64 = self
             .completed
             .iter()
             .map(|p| PER_PROFILE_BYTES + PER_CANDIDATE_BYTES * p.len() as u64)
             .sum();
         let batches: u64 = self.batches.iter().map(|b| 16 * b.capacity() as u64).sum();
-        shards * PER_SHARD_BYTES + profiles + batches
+        let inline = match &self.inline {
+            Some(InlineShard {
+                profiler: Ok(profiler),
+                ..
+            }) => profiler.private_bytes() as u64,
+            _ => 0,
+        };
+        self.worker_profiler_bytes + inline + profiles + batches
     }
 
     /// Drains the stream: flushes a trailing partial interval's events
@@ -956,14 +1116,23 @@ impl EngineSession {
     /// # Errors
     ///
     /// [`Error::WorkerPanicked`] (with the panic message) if any shard
-    /// worker panicked during the run; [`Error::Merge`] on a shard-merge
-    /// failure (an engine bug).
+    /// profiler panicked during the run, on a worker or inline;
+    /// [`Error::Merge`] on a shard-merge failure (an engine bug).
     pub fn finish(mut self) -> Result<EngineReport, Error> {
         let flushed = self.flush_batches();
         for sender in std::mem::take(&mut self.senders) {
             drop(sender);
         }
-        let mut worker_panic = None;
+        let mut worker_panic = match &self.inline {
+            Some(InlineShard {
+                profiler: Err(message),
+                ..
+            }) => Some(Error::WorkerPanicked {
+                shard: 0,
+                message: message.clone(),
+            }),
+            _ => None,
+        };
         for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
             if let Err(payload) = handle.join() {
                 worker_panic.get_or_insert(Error::WorkerPanicked {
@@ -991,8 +1160,18 @@ impl EngineSession {
 
     /// Hands the shard's pending batch to its worker, swapping in a
     /// recycled buffer from the worker's return ring (or a fresh
-    /// allocation only when none has come back yet).
+    /// allocation only when none has come back yet). An inline session
+    /// observes the batch in place and reuses its buffer.
     fn send_batch(&mut self, shard: usize) -> Result<(), Error> {
+        if let Some(inline) = &mut self.inline {
+            let batch = &mut self.batches[shard];
+            let observed = inline.observe_batch(batch);
+            let events = batch.len() as u64;
+            batch.clear();
+            observed?;
+            self.count_batch(shard, events);
+            return Ok(());
+        }
         let started = Instant::now();
         let fresh = match self.recycle_rxs[shard].try_recv() {
             Ok(buf) => buf,
@@ -1008,7 +1187,9 @@ impl EngineSession {
     /// the ring send, including any blocking stall on a full ring — since
     /// the last call; resets the accumulator. This is the "ring handoff"
     /// share of an ingest call's wall time; callers attributing latency
-    /// per stage subtract it from the whole ingest duration.
+    /// per stage subtract it from the whole ingest duration. Always zero
+    /// for an inline session, which hands nothing off: its sketch work is
+    /// part of the ingest call itself.
     pub fn take_handoff_time(&mut self) -> Duration {
         std::mem::take(&mut self.handoff)
     }
@@ -1043,17 +1224,22 @@ impl EngineSession {
             }
         }
         if let Some(events) = batch_events {
-            self.stats[shard].batches += 1;
-            if let Some(t) = &self.telemetry {
-                t.batches.incr();
-                t.events.add(events);
-                t.batch_events.record(events);
-            }
+            self.count_batch(shard, events);
         }
         if let Some(depth) = self.queue_gauges.get(shard) {
             depth.incr();
         }
         Ok(())
+    }
+
+    /// Counts one batch of `events` as dispatched to `shard`.
+    fn count_batch(&mut self, shard: usize, events: u64) {
+        self.stats[shard].batches += 1;
+        if let Some(t) = &self.telemetry {
+            t.batches.incr();
+            t.events.add(events);
+            t.batch_events.record(events);
+        }
     }
 
     /// Records a dead worker: its queued backlog will never be consumed, so
@@ -1067,9 +1253,20 @@ impl EngineSession {
         Error::WorkerDied { shard }
     }
 
+    /// Frees an inline session's batch buffer when a bulk ingest call has
+    /// left it empty. The buffer only stages events between the decoder
+    /// and the profiler, so between calls an idle session then holds
+    /// nothing but its sketch state; the next call regrows it. A worker
+    /// session's buffers circulate through its rings and are kept.
+    fn release_drained_batch(&mut self) {
+        if self.inline.is_some() && self.batches[0].is_empty() {
+            self.batches[0] = Vec::new();
+        }
+    }
+
     /// Flushes every shard's pending batch without cutting.
     fn flush_batches(&mut self) -> Result<(), Error> {
-        for shard in 0..self.senders.len() {
+        for shard in 0..self.batches.len() {
             if !self.batches[shard].is_empty() {
                 self.send_batch(shard)?;
             }
@@ -1078,17 +1275,31 @@ impl EngineSession {
     }
 
     /// Flushes batches and broadcasts a cut; the workers' profiles are
-    /// collected lazily by [`collect_cuts`](Self::collect_cuts).
+    /// collected lazily by [`collect_cuts`](Self::collect_cuts). An inline
+    /// session cuts its profiler and merges the profile at once.
     fn broadcast_cut(&mut self) -> Result<(), Error> {
         self.flush_batches()?;
-        for shard in 0..self.senders.len() {
-            self.dispatch_msg(shard, Msg::Cut)?;
+        if let Some(inline) = &mut self.inline {
+            let started = Instant::now();
+            let part = inline.call(|profiler| profiler.finish_interval())?;
+            // The one-part merge is not a formality: it normalizes the
+            // shard's external-cut config exactly as a worker session's
+            // merge does, so both produce equal profiles and snapshots.
+            self.completed.push(IntervalProfile::merge([part])?);
+            if let Some(t) = &self.telemetry {
+                t.cuts.incr();
+                t.cut_latency.record_duration(started.elapsed());
+            }
+        } else {
+            for shard in 0..self.senders.len() {
+                self.dispatch_msg(shard, Msg::Cut)?;
+            }
+            if let Some(t) = &self.telemetry {
+                t.cuts.incr();
+                self.cut_starts.push_back(Instant::now());
+            }
+            self.pending_cuts += 1;
         }
-        if let Some(t) = &self.telemetry {
-            t.cuts.incr();
-            self.cut_starts.push_back(Instant::now());
-        }
-        self.pending_cuts += 1;
         self.in_interval = 0;
         Ok(())
     }
@@ -1142,15 +1353,36 @@ impl Drop for EngineSession {
     }
 }
 
-/// Zeroes the shard's queue-depth gauge when dropped — including during a
-/// worker panic's unwind — so messages still queued behind a dead worker
-/// can never leave the gauge stuck positive.
-struct GaugeReset(Option<Gauge>);
+/// A shard worker's exit guard, dropped on every exit path including a
+/// panic's unwind. It zeroes the shard's queue-depth gauge, so messages
+/// still queued behind a dead worker can never leave the gauge stuck
+/// positive, and takes the worker off the live-thread gauge.
+struct WorkerExit {
+    depth: Option<Gauge>,
+    threads: Option<Gauge>,
+}
 
-impl Drop for GaugeReset {
+impl Drop for WorkerExit {
     fn drop(&mut self) {
-        if let Some(gauge) = &self.0 {
-            gauge.set(0);
+        if let Some(depth) = &self.depth {
+            depth.set(0);
+        }
+        if let Some(threads) = &self.threads {
+            threads.decr();
+        }
+    }
+}
+
+/// Consults the fault hook once per batch, panicking or stalling the
+/// calling thread when a planned fault fires. One `Option` check per
+/// *batch*: disarmed fault machinery is compiled in but off the per-event
+/// path entirely.
+fn inject_worker_faults(faults: Option<&FaultHook>, events: u64) {
+    if let Some(hook) = faults {
+        match hook.on_worker_events(events) {
+            WorkerAction::Proceed => {}
+            WorkerAction::Panic => panic!("injected fault: worker panic"),
+            WorkerAction::Stall(pause) => thread::sleep(pause),
         }
     }
 }
@@ -1171,13 +1403,10 @@ fn shard_worker(
     rx: ring::Receiver<Msg>,
     recycle: ring::Sender<Vec<Tuple>>,
     profile_tx: Sender<IntervalProfile>,
-    depth: Option<Gauge>,
+    exit: WorkerExit,
     faults: Option<FaultHook>,
 ) {
-    // Runs on every exit path, panic unwinds included: whatever is still
-    // queued behind this worker will never be consumed, so its gauge
-    // contribution is zeroed here rather than leaked.
-    let _depth_reset = GaugeReset(depth.clone());
+    let depth = exit.depth.clone();
     for msg in rx {
         // The message left the queue: the shard's live backlog shrank.
         if let Some(depth) = &depth {
@@ -1185,15 +1414,7 @@ fn shard_worker(
         }
         match msg {
             Msg::Batch(mut batch) => {
-                // One Option check per *batch*: disarmed fault machinery is
-                // compiled in but off the per-event path entirely.
-                if let Some(hook) = &faults {
-                    match hook.on_worker_events(batch.len() as u64) {
-                        WorkerAction::Proceed => {}
-                        WorkerAction::Panic => panic!("injected fault: worker panic"),
-                        WorkerAction::Stall(pause) => thread::sleep(pause),
-                    }
-                }
+                inject_worker_faults(faults.as_ref(), batch.len() as u64);
                 // One virtual call per batch, with the profiler's branch-
                 // hoisted loop inside. External-cut profilers never complete
                 // an interval on their own, so the result is an empty Vec
@@ -2010,6 +2231,261 @@ mod tests {
             Err(Error::WorkerPanicked { shard: 0, .. })
         ));
         assert_eq!(gauge.get(), 0);
+    }
+
+    /// A worker-thread session over `engine`'s profilers, whatever the
+    /// shard count: the path `start` takes only for two or more shards.
+    fn spawn_workers(engine: &ShardedEngine) -> EngineSession {
+        EngineSession::spawn(
+            &engine.config,
+            engine.interval.interval_len(),
+            engine.build_shard_profilers().unwrap(),
+            None,
+            None,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+        /// An inline one-shard session and a worker one-shard session are
+        /// observably the same engine: equal forced cuts, top-k answers,
+        /// byte-identical snapshots and final profiles under any chunking,
+        /// and each one's snapshot restores into the other.
+        #[test]
+        fn inline_and_worker_single_shard_sessions_are_equivalent(
+            spec_idx in 0usize..3,
+            stream_seed in 0u64..1_000,
+            batch_events in 64usize..2_048,
+            ops in proptest::collection::vec((0u8..8, 1usize..3_000), 1..16),
+        ) {
+            let spec = [
+                ProfilerSpec::MultiHash(MultiHashConfig::best()),
+                ProfilerSpec::SingleHash(SingleHashConfig::best()),
+                ProfilerSpec::Perfect,
+            ][spec_idx];
+            // A queue deep enough that the worker never stalls: stalls are
+            // counted in the snapshot, and an inline session has none.
+            let config = EngineConfig::new(1)
+                .with_batch_events(batch_events)
+                .with_queue_capacity(1_024);
+            let interval = IntervalConfig::new(2_000, 0.02).unwrap();
+            let engine = ShardedEngine::new(config, interval, spec, 0xBEEF);
+            let mut inline = engine.start().unwrap();
+            proptest::prop_assert!(inline.inline.is_some());
+            let mut workers = spawn_workers(&engine);
+            proptest::prop_assert!(workers.inline.is_none());
+
+            let events: Vec<Tuple> = StreamSpec::new(Benchmark::Gcc, StreamKind::Value, stream_seed)
+                .events()
+                .take(ops.iter().map(|&(_, n)| n).sum())
+                .collect();
+            let mut at = 0;
+            for &(op, n) in &ops {
+                match op {
+                    // Mostly chunks, so intervals fill and cut on their own.
+                    0..=4 => {
+                        let chunk = crate::format::encode_chunk(&events[at..at + n]);
+                        at += n;
+                        inline.ingest_chunk(&chunk).unwrap();
+                        workers.ingest_chunk(&chunk).unwrap();
+                    }
+                    5 => proptest::prop_assert_eq!(inline.cut().unwrap(), workers.cut().unwrap()),
+                    6 => proptest::prop_assert_eq!(
+                        inline.top_k(n % 20 + 1).unwrap(),
+                        workers.top_k(n % 20 + 1).unwrap()
+                    ),
+                    _ => proptest::prop_assert_eq!(
+                        inline.save_state().unwrap(),
+                        workers.save_state().unwrap()
+                    ),
+                }
+            }
+            let snapshot = inline.save_state().unwrap();
+            proptest::prop_assert_eq!(&snapshot, &workers.save_state().unwrap());
+            proptest::prop_assert_eq!(inline.top_k(10).unwrap(), workers.top_k(10).unwrap());
+
+            // Cross-restore: the inline snapshot into workers, the worker
+            // snapshot into an inline session; both continue identically.
+            let mut into_workers = engine
+                .restore_with(&snapshot, |len, profilers| {
+                    EngineSession::spawn(&config, len, profilers, None, None)
+                })
+                .unwrap();
+            let mut into_inline = engine.restore(&workers.save_state().unwrap()).unwrap();
+            proptest::prop_assert!(into_inline.inline.is_some());
+            let tail: Vec<Tuple> = li_events(4_321).collect();
+            for session in [&mut inline, &mut workers, &mut into_workers, &mut into_inline] {
+                session.push_slice(&tail).unwrap();
+            }
+            let expected = inline.finish().unwrap();
+            for session in [workers, into_workers, into_inline] {
+                let report = session.finish().unwrap();
+                proptest::prop_assert_eq!(&report.profiles, &expected.profiles);
+                proptest::prop_assert_eq!(report.events, expected.events);
+                proptest::prop_assert_eq!(&report.shards, &expected.shards);
+            }
+        }
+    }
+
+    #[test]
+    fn inline_session_contains_a_profiler_panic() {
+        let interval = IntervalConfig::new(1_000_000, 0.01)
+            .unwrap()
+            .with_external_cut();
+        let mut session = EngineSession::inline(
+            &EngineConfig::new(1).with_batch_events(4),
+            1_000_000,
+            Box::new(Lethal { interval }),
+            None,
+            None,
+        );
+        // Three events fill no batch; the fourth runs the profiler, which
+        // panics. The panic is caught: this thread keeps running.
+        for tuple in li_events(3) {
+            session.push(tuple).unwrap();
+        }
+        let result = session.push(Tuple::new(1, 1));
+        assert!(
+            matches!(result, Err(Error::WorkerDied { shard: 0 })),
+            "got {result:?}"
+        );
+        assert_eq!(session.shard_stats()[0].batches, 0, "the batch died");
+        // Poisoned: every later call fails the same way, without running
+        // the profiler again.
+        assert!(matches!(
+            session.top_k(5),
+            Err(Error::WorkerDied { shard: 0 })
+        ));
+        assert!(matches!(
+            session.save_state(),
+            Err(Error::WorkerDied { shard: 0 })
+        ));
+        assert!(matches!(session.cut(), Err(Error::WorkerDied { shard: 0 })));
+        match session.finish() {
+            Err(Error::WorkerPanicked { shard: 0, message }) => {
+                assert!(message.contains("lethal"), "{message}");
+            }
+            other => panic!("finish must report the panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn injected_panic_poisons_an_inline_session() {
+        use mhp_faults::{FaultKind, FaultPlan};
+        let interval = IntervalConfig::new(10_000, 0.01).unwrap();
+        let hook = FaultPlan::new(42)
+            .with_fault(FaultKind::WorkerPanic, 2_000)
+            .arm();
+        let engine = ShardedEngine::new(
+            EngineConfig::new(1).with_batch_events(128),
+            interval,
+            ProfilerSpec::Perfect,
+            0,
+        )
+        .with_fault_hook(hook.clone());
+        let mut session = engine.start().unwrap();
+        assert!(session.inline.is_some());
+        let events: Vec<Tuple> = li_events(20_000).collect();
+        let failed = events
+            .chunks(500)
+            .map(|chunk| session.push_slice(chunk))
+            .find_map(Result::err);
+        assert!(matches!(failed, Some(Error::WorkerDied { shard: 0 })));
+        assert_eq!(hook.injected(FaultKind::WorkerPanic), 1);
+        match session.finish() {
+            Err(Error::WorkerPanicked { shard: 0, message }) => {
+                assert!(message.contains("injected fault"), "{message}");
+            }
+            other => panic!("expected a typed panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn inline_session_frees_its_batch_buffer_once_drained() {
+        let engine = ShardedEngine::new(
+            EngineConfig::new(1).with_batch_events(256),
+            IntervalConfig::new(100_000, 0.01).unwrap(),
+            ProfilerSpec::MultiHash(MultiHashConfig::best()),
+            7,
+        );
+        let mut session = engine.start().unwrap();
+        let opened = session.approx_memory_bytes();
+        let events: Vec<Tuple> = li_events(1_000).collect();
+        // 1000 = 3 × 256 + 232: the staged tail keeps the buffer.
+        session
+            .ingest_chunk(&crate::format::encode_chunk(&events))
+            .unwrap();
+        assert_eq!(session.batches[0].len(), 232);
+        assert_eq!(session.approx_memory_bytes(), opened);
+        // 24 more fill the batch: nothing is staged, so the buffer goes.
+        session.push_slice(&events[..24]).unwrap();
+        assert_eq!(session.batches[0].capacity(), 0);
+        assert_eq!(session.approx_memory_bytes(), opened - 16 * 256);
+        // The next call regrows it.
+        session.push_slice(&events[..10]).unwrap();
+        assert_eq!(session.batches[0].len(), 10);
+        assert_eq!(session.finish().unwrap().events, 1_034);
+    }
+
+    #[test]
+    fn inline_session_charges_its_profilers_growing_state() {
+        let engine = ShardedEngine::new(
+            EngineConfig::new(1),
+            IntervalConfig::new(1_000_000, 0.01).unwrap(),
+            ProfilerSpec::Perfect,
+            0,
+        );
+        let mut session = engine.start().unwrap();
+        let opened = session.approx_memory_bytes();
+        let distinct: Vec<Tuple> = (0..50_000u64).map(|i| Tuple::new(i, i)).collect();
+        session.push_slice(&distinct).unwrap();
+        // The exact-count map holds a tuple and a count per distinct tuple.
+        assert!(session.approx_memory_bytes() >= opened + 50_000 * 24);
+    }
+
+    #[test]
+    fn single_shard_sessions_run_inline_and_hand_nothing_off() {
+        use crate::telemetry::EngineTelemetry;
+        use mhp_telemetry::{stat_value, Registry};
+
+        let registry = Registry::new();
+        let interval = IntervalConfig::new(5_000, 0.01).unwrap();
+        let engine = ShardedEngine::new(
+            EngineConfig::new(1).with_batch_events(256),
+            interval,
+            ProfilerSpec::MultiHash(MultiHashConfig::best()),
+            42,
+        )
+        .with_telemetry(EngineTelemetry::new(&registry));
+        let mut session = engine.start().unwrap();
+        assert!(session.inline.is_some() && session.handles.is_empty());
+        session.push_all(li_events(12_000)).unwrap();
+        assert_eq!(session.take_handoff_time(), Duration::ZERO);
+        // Shared hash tables are not charged: only counters, accumulator
+        // and buffers, well under one private copy of the fold tables.
+        assert!(session.approx_memory_bytes() < 32 * 1024);
+        let report = session.finish().unwrap();
+        assert_eq!(report.intervals, 2);
+
+        let text = registry.render_prometheus();
+        assert_eq!(stat_value(&text, "engine_events_total"), Some(12_000));
+        assert_eq!(stat_value(&text, "engine_cuts_total"), Some(2));
+        assert_eq!(stat_value(&text, "engine_cut_latency_us_count"), Some(2));
+        assert_eq!(stat_value(&text, "engine_worker_threads"), Some(0));
+        assert!(!text.contains("engine_queue_depth"));
+        // Two shards spawn two workers, which leave the gauge on exit.
+        let sharded = ShardedEngine::new(EngineConfig::new(2), interval, ProfilerSpec::Perfect, 0)
+            .with_telemetry(EngineTelemetry::new(&registry));
+        let session = sharded.start().unwrap();
+        assert_eq!(
+            stat_value(&registry.render_prometheus(), "engine_worker_threads"),
+            Some(2)
+        );
+        session.finish().unwrap();
+        assert_eq!(
+            stat_value(&registry.render_prometheus(), "engine_worker_threads"),
+            Some(0)
+        );
     }
 
     #[test]

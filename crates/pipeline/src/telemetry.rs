@@ -12,7 +12,10 @@
 //! * `engine_cut_latency_us` — a histogram of broadcast-to-merge latency
 //!   per interval cut;
 //! * `engine_queue_depth{shard="N"}` — a live gauge of each shard's
-//!   channel backlog, in batches.
+//!   channel backlog, in batches (multi-shard sessions only);
+//! * `engine_worker_threads` — a live gauge of shard worker threads. One-
+//!   shard sessions run inline and spawn none, so it stays at 0 however
+//!   many of them are open.
 //!
 //! Attach a [`RegistrySink`] (via
 //! [`ShardedEngine::with_introspection_sink`](crate::ShardedEngine::with_introspection_sink))
@@ -43,6 +46,9 @@ pub struct EngineTelemetry {
     pub(crate) batch_events: Histogram,
     /// Latency from cut broadcast to merged profile, in microseconds.
     pub(crate) cut_latency: Histogram,
+    /// Live shard worker threads: raised at spawn, lowered by each
+    /// worker's exit guard.
+    pub(crate) worker_threads: Gauge,
 }
 
 impl EngineTelemetry {
@@ -56,6 +62,7 @@ impl EngineTelemetry {
             cuts: registry.counter("engine_cuts_total"),
             batch_events: registry.histogram("engine_batch_events"),
             cut_latency: registry.histogram("engine_cut_latency_us"),
+            worker_threads: registry.gauge("engine_worker_threads"),
         }
     }
 

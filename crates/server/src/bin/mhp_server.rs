@@ -13,6 +13,7 @@
 //! `--state-dir`, sessions are checkpointed there periodically and
 //! restored on the next start (`restored N session(s)` is printed).
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -181,13 +182,23 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let server = Server::bind(addr.as_str(), config).map_err(|e| e.to_string())?;
     // The smoke scripts scrape this exact line for the resolved port.
-    println!("listening on {}", server.local_addr());
+    say(format_args!("listening on {}", server.local_addr()));
     if server.restored_sessions() > 0 {
-        println!("restored {} session(s)", server.restored_sessions());
+        say(format_args!(
+            "restored {} session(s)",
+            server.restored_sessions()
+        ));
     }
     server.wait();
-    println!("shut down cleanly");
+    say(format_args!("shut down cleanly"));
     Ok(())
+}
+
+/// Writes one status line to stdout. Once the server is up, its stdout
+/// reader may be gone (a closed pipe): a failed write is ignored, where
+/// `println!` would panic and turn a clean shutdown into a failure.
+fn say(line: std::fmt::Arguments<'_>) {
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
 }
 
 fn main() -> ExitCode {

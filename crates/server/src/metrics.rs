@@ -15,7 +15,7 @@
 //! concurrent write by a few operations, which is fine for observability
 //! and keeps the hot ingest path free of locks.
 
-use mhp_telemetry::Registry;
+use mhp_telemetry::{ProcessGauges, Registry};
 
 pub use mhp_telemetry::{stat_value, Counter, Gauge, Histogram};
 
@@ -34,6 +34,10 @@ macro_rules! server_metrics {
             pub request_latency: Histogram,
             /// Time spent decoding each ingested chunk, in microseconds.
             pub chunk_decode: Histogram,
+            /// `process_threads` and `process_resident_bytes`, refreshed
+            /// by [`render_prometheus`](Metrics::render_prometheus);
+            /// absent off Linux.
+            process: Option<ProcessGauges>,
         }
 
         impl Metrics {
@@ -45,6 +49,7 @@ macro_rules! server_metrics {
                     $($field: registry.$kind($metric),)+
                     request_latency: registry.histogram("server_request_latency_us"),
                     chunk_decode: registry.histogram("server_chunk_decode_us"),
+                    process: ProcessGauges::register(registry),
                 }
             }
 
@@ -109,6 +114,15 @@ impl Metrics {
     /// and sketch metrics here, and the `metrics` query renders it.
     pub fn registry(&self) -> &Registry {
         &self.registry
+    }
+
+    /// The Prometheus exposition of the whole registry — the `metrics`
+    /// query — with the process gauges read fresh.
+    pub fn render_prometheus(&self) -> String {
+        if let Some(process) = &self.process {
+            process.refresh();
+        }
+        self.registry.render_prometheus()
     }
 }
 

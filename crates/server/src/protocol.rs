@@ -109,7 +109,9 @@ impl std::str::FromStr for ProfilerKind {
 pub struct SessionConfig {
     /// Profiler architecture each shard runs.
     pub kind: ProfilerKind,
-    /// Shard (worker thread) count.
+    /// Shard count. One shard (the default) runs inline on the server
+    /// thread that handles each request; two or more spawn one worker
+    /// thread per shard.
     pub shards: u16,
     /// Global interval length, in events.
     pub interval_len: u64,

@@ -923,7 +923,7 @@ impl RunningServer {
     /// Prometheus text exposition of every metric, same text the
     /// `metrics` query returns.
     pub fn metrics(&self) -> String {
-        self.shared.metrics.registry().render_prometheus()
+        self.shared.metrics.render_prometheus()
     }
 
     /// Quantile summaries of the per-request stage histograms, in
@@ -1448,9 +1448,7 @@ pub(crate) fn handle_request(
             })
         }
         Request::Stats => Ok(Response::Stats(shared.metrics.render())),
-        Request::Metrics => Ok(Response::Metrics(
-            shared.metrics.registry().render_prometheus(),
-        )),
+        Request::Metrics => Ok(Response::Metrics(shared.metrics.render_prometheus())),
         Request::Traces => Ok(Response::Traces(shared.tracer.render_jsonl())),
         Request::CloseSession => {
             let hold = attached.take().ok_or_else(|| {

@@ -487,8 +487,8 @@ fn idle_sessions_evict_under_memory_budget_and_restore_on_attach() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServerConfig {
         state_dir: Some(dir.clone()),
-        // Far below one engine's ~64 KiB/shard floor: every idle session
-        // is over budget.
+        // Far below any engine's private profiler state: every idle
+        // session is over budget.
         session_memory_budget: Some(1),
         // Keep the periodic checkpointer quiet; eviction checkpoints on
         // its own.
@@ -680,4 +680,73 @@ fn traces_query_against_older_server_degrades_gracefully() {
     }
     drop(client);
     old_server.join().unwrap();
+}
+
+/// One-shard sessions run inline and spawn no shard thread, however many
+/// are open; a multi-shard session's workers show on the gauge while it
+/// lives and are gone once it is closed.
+#[test]
+fn worker_thread_gauge_counts_only_multi_shard_workers() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let workers = |client: &mut Client| {
+        stat_value(&client.metrics().unwrap(), "engine_worker_threads")
+            .expect("engine_worker_threads is exported")
+    };
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for i in 0..32 {
+        client
+            .open_session(&format!("idle-{i}"), SessionConfig::default_multi_hash())
+            .unwrap();
+        client.ingest(&workload(i, 1_000)).unwrap();
+    }
+    assert_eq!(workers(&mut client), 0, "inline sessions spawn no thread");
+
+    let sharded = SessionConfig {
+        shards: 4,
+        ..SessionConfig::default_multi_hash()
+    };
+    client.open_session("sharded", sharded).unwrap();
+    client.ingest(&workload(99, 5_000)).unwrap();
+    assert_eq!(workers(&mut client), 4);
+    client.close_session().unwrap();
+    assert_eq!(workers(&mut client), 0, "close joins the workers");
+
+    let metrics = client.metrics().unwrap();
+    if cfg!(target_os = "linux") {
+        assert!(stat_value(&metrics, "process_threads").unwrap() >= 1);
+        assert!(stat_value(&metrics, "process_resident_bytes").unwrap() > 0);
+    }
+    client.shutdown_server().unwrap();
+    server.wait();
+}
+
+/// Regression: with its stdout reader gone, the server binary used to
+/// panic on its final "shut down cleanly" line and exit non-zero.
+#[test]
+fn server_binary_shuts_down_cleanly_with_stdout_closed() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mhp-server"))
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    // The reader (and with it the pipe's only read end) is dropped here.
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
+    Client::connect(addr.as_str())
+        .unwrap()
+        .shutdown_server()
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(status.success(), "server exited with {status}");
 }

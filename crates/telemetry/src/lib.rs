@@ -44,10 +44,12 @@
 
 pub mod events;
 pub mod histogram;
+pub mod process;
 pub mod registry;
 pub mod trace;
 
 pub use events::{EventLog, SpanEvent, SpanTimer};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
+pub use process::ProcessGauges;
 pub use registry::{stat_value, Counter, CounterVec, Gauge, MetricKind, Registry};
 pub use trace::{StageSummary, StageTimer, Trace, TraceConfig, TraceRecord, Tracer, MAX_STAGES};
